@@ -30,13 +30,16 @@ a per-frequency strided-batched **GEMM** (``F_hat[f] @ M_hat[f]`` with
 FFT and one unpad.  The spectrum — the dominant Phase-3 traffic — is
 read once instead of ``k`` times, and the per-call launch/plan overhead
 of the other phases is paid once, which is where block solvers,
-posterior sampling and OED sweeps get their speedup.
+posterior sampling and OED sweeps get their speedup.  The vector apply
+is the same pipeline at ``k = 1``: one front half (pad → Phase 3) and
+one back half (reorder → unpad) serve every entry point.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +64,27 @@ __all__ = ["FFTMatvec"]
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 
 _VALIDATE_MODES = ("guard", "abft")
+
+# Corruption-schedule stage name of each hooked phase boundary.
+_INJECT_STAGE = {"fft": "fft", "sbgemv": "sbgemm", "ifft": "ifft"}
+
+
+@contextlib.contextmanager
+def _apply_scope(ws: Optional[Workspace]):
+    """Bracket one apply in the arena's re-entrancy guard.
+
+    No-op without a workspace; otherwise cursors reset and a second
+    apply interleaving on the same arena raises :class:`ReproError`
+    instead of aliasing checkout slots.
+    """
+    if ws is None:
+        yield
+        return
+    ws.begin_apply()
+    try:
+        yield
+    finally:
+        ws.end_apply()
 
 
 def _parse_validate(validate) -> frozenset:
@@ -119,9 +143,9 @@ class FFTMatvec:
         ``"fast"`` (default) lets Phase 3 accumulate in whatever order
         the selected BLAS kernel's tiling produces.  ``"pairwise"``
         pins the fixed binary-tree order of :mod:`repro.util.pairwise`
-        instead: vector and blocked applies become bitwise-identical at
-        any block width (``matvec`` routes through the width-1 blocked
-        pipeline), and on the grid engine any contraction-axis
+        instead: every block column is bitwise its vector apply at any
+        block width, with or without ``deterministic`` (which pairwise
+        ignores), and on the grid engine any contraction-axis
         partition — including width-1 parts — reproduces the same bits.
         Costs the modeled determinism tax of
         :class:`~repro.blas.gemm_kernels.PairwiseSBGEMM`.
@@ -221,8 +245,6 @@ class FFTMatvec:
         original CUDA code and the custom kernel performs after
         hipification (see :mod:`repro.blas.permute`).
         """
-        import contextlib
-
         from repro.blas.permute import permute3d
 
         ctx = (
@@ -348,8 +370,6 @@ class FFTMatvec:
     def _phase_ctx(self, name: str):
         if self.device is not None:
             return self.device.clock.phase(name)
-        import contextlib
-
         return contextlib.nullcontext()
 
     def _run_sbgemv(
@@ -553,19 +573,16 @@ class FFTMatvec:
         be = self.backend
         nf, nx, k = mhat.shape
         ny = self.nd if operation is Operation.N else self.nm
-        out = None
-        if self.workspace is not None:
-            out = self.workspace.checkout(
-                "det_sbgemv_out", (nf, ny, k), be.dtype_of(mhat)
-            )
+        dt = be.dtype_of(mhat)
+        ws = self.workspace
+        if ws is not None:
+            out = ws.checkout("det_sbgemv_out", (nf, ny, k), dt)
+        else:
+            out = be.empty((nf, ny, k), dt)
         if self.dispatcher is not None or be.name != "numpy":
-            if out is None:
-                out = be.empty((nf, ny, k), be.dtype_of(mhat))
             for j in range(k):
                 out[:, :, j] = self._run_sbgemv(mhat[:, :, j], operation, precision)
             return out
-        if out is None:
-            out = be.empty((nf, ny, k), be.dtype_of(mhat))
         fhat = self.spectrum(precision)
         cols = np.moveaxis(mhat, 2, 0)  # (k, nf, nx) strided view
         out_v = np.moveaxis(out, 2, 0)  # (k, nf, ny) strided view
@@ -580,13 +597,14 @@ class FFTMatvec:
         # coalescing tests assert it), but measurably faster; a
         # contiguous copy of the transpose would flip numpy into a BLAS
         # path with a different summation order and break the identity.
-        if self.workspace is not None:
-            x_conj = self.workspace.checkout(
-                "det_sbgemv_conj_x", (k, nf, nx), be.dtype_of(mhat)
-            )
-            be.conjugate(cols, out=x_conj)
+        # conj(x) is staged in a contiguous (k, nf, nx) buffer: a
+        # conjugate that keeps the strided column layout changes that
+        # order too at small nx.
+        if ws is not None:
+            x_conj = ws.checkout("det_sbgemv_conj_x", (k, nf, nx), dt)
         else:
-            x_conj = be.conjugate(cols)
+            x_conj = be.empty((k, nf, nx), dt)
+        be.conjugate(cols, out=x_conj)
         fhat_t = be.transpose(fhat, (0, 2, 1))
         be.matmul(fhat_t[None], x_conj[..., None], out=out_v[..., None])
         be.conjugate(out, out=out)
@@ -622,51 +640,59 @@ class FFTMatvec:
             "engine" if self.rank_label is None else f"engine_rank{self.rank_label}"
         )
 
-    def _maybe_corrupt(self, buf: Any, stage: str) -> None:
-        """Device-site injection: flip one bit of a freshly computed buffer
-        if the armed schedule fires at this event."""
-        sched = self._corruption
-        if sched is None:
-            return
-        if sched.on_event(stage, self._corruption_where()) is None:
-            return
-        arr = np.asarray(buf)
-        floats = int(arr.size) * (2 if arr.dtype.kind == "c" else 1)
-        _chk.flip_bit(arr, sched.element_index(max(1, floats)), bit=sched.bit)
+    def _boundary(self, phase: str, buf: Any, verify: Callable[[], None]) -> None:
+        """Hooks on a freshly computed stage buffer, in their one fixed
+        order: inject → verify → guard.
 
-    def _maybe_corrupt_table(self, values: Dict, stage: str) -> None:
-        """Injection site for the pairwise path's segment table."""
+        *Inject*: an armed corruption schedule counts the stage as one
+        event and, when that event is scheduled, flips one bit of
+        ``buf`` (of one segment panel when ``buf`` is a pairwise segment
+        table).  *Verify*: with the abft checks on, ``verify()`` checks
+        the stage algebraically and raises
+        :class:`~repro.util.checksum.SilentCorruption` on mismatch.
+        *Guard*: with the guard on, NaN/Inf in an array ``buf`` raises
+        :class:`~repro.util.checksum.NumericalHealthError`.
+        """
+        table = isinstance(buf, dict)
         sched = self._corruption
-        if sched is None:
-            return
-        if sched.on_event(stage, self._corruption_where()) is None:
-            return
-        _chk.flip_table_bit(values, sched.element_index(1 << 30), bit=sched.bit)
-
-    def _guard_check(self, arr: Any, phase: str) -> None:
-        if self._guard_on:
+        if sched is not None and (
+            sched.on_event(_INJECT_STAGE[phase], self._corruption_where())
+            is not None
+        ):
+            if table:
+                _chk.flip_table_bit(buf, sched.element_index(1 << 30), bit=sched.bit)
+            else:
+                arr = np.asarray(buf)
+                floats = int(arr.size) * (2 if arr.dtype.kind == "c" else 1)
+                _chk.flip_bit(arr, sched.element_index(max(1, floats)), bit=sched.bit)
+        if self._abft_on:
+            verify()
+            self.sdc_checks += 1
+        if self._guard_on and not table:
             _chk.ensure_finite(
-                self.backend.from_device(arr), phase=phase, rank=self.rank_label
+                self.backend.from_device(buf), phase=phase, rank=self.rank_label
             )
 
-    def _check_forward_energy(self, x: Any, xhat: Any, plan: FFTPlan) -> None:
-        if self._abft_on:
-            plan.verify_forward_energy(x, xhat, phase="fft", rank=self.rank_label)
-            self.sdc_checks += 1
-
-    def _check_inverse_energy(self, xhat: Any, y: Any, plan: FFTPlan) -> None:
-        if self._abft_on:
-            plan.verify_inverse_energy(xhat, y, phase="ifft", rank=self.rank_label)
-            self.sdc_checks += 1
-
-    def _check_gemm(
+    def _verify_gemm(
         self, panel: Any, result: Any, operation: Operation, precision: Precision
     ) -> None:
-        """ABFT column-checksum verification of a Phase-3 panel."""
-        if not self._abft_on:
-            return
+        """ABFT column-checksum verification of a Phase-3 result.
+
+        ``result`` is the ``(n_freq, ny, k)`` panel or a grid rank's
+        canonical-segment table.  The segments tile the rank's whole
+        contraction range, so their elementwise total must satisfy the
+        same identity as the undivided local GEMM — one check covers
+        every segment.
+        """
         from repro.blas.gemm_kernels import gemm_checksum_verify
 
+        context = ""
+        if isinstance(result, dict):
+            total = None
+            for key in sorted(result.keys()):
+                v = result[key]
+                total = v if total is None else total + v
+            result, context = total, "pairwise segments"
         a_conj = (
             self.spectrum_conj(precision) if operation is Operation.C else None
         )
@@ -679,45 +705,8 @@ class FFTMatvec:
             backend=self.backend,
             phase="sbgemv",
             rank=self.rank_label,
+            context=context,
         )
-        self.sdc_checks += 1
-
-    def _check_gemm_segments(
-        self,
-        panel: Any,
-        values: Dict[Tuple[int, int], Any],
-        operation: Operation,
-        precision: Precision,
-    ) -> None:
-        """ABFT verification of a rank's canonical-segment partials.
-
-        The segments tile the rank's whole contraction range, so their
-        elementwise total must satisfy the same column-checksum identity
-        as the undivided local GEMM — one check covers every segment.
-        """
-        if not self._abft_on:
-            return
-        from repro.blas.gemm_kernels import gemm_checksum_verify
-
-        total = None
-        for key in sorted(values.keys()):
-            v = values[key]
-            total = v if total is None else total + v
-        a_conj = (
-            self.spectrum_conj(precision) if operation is Operation.C else None
-        )
-        gemm_checksum_verify(
-            self.spectrum(precision),
-            panel,
-            operation,
-            total,
-            a_conj=a_conj,
-            backend=self.backend,
-            phase="sbgemv",
-            rank=self.rank_label,
-            context="pairwise segments",
-        )
-        self.sdc_checks += 1
 
     # -- the five-phase pipeline -----------------------------------------------
     def _maybe_cast(self, arr: Any, prec: Precision, tag: str) -> Any:
@@ -796,187 +785,59 @@ class FFTMatvec:
             return None
         return out.reshape(shape2d)
 
-    def _pipeline(
+    def _phase3(
         self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray] = None,
-        detach: bool = True,
-    ) -> np.ndarray:
-        """Shared forward/adjoint pipeline.
-
-        Forward: v_in is (Nt, Nm); output (Nt, Nd); SBGEMV op = N.
-        Adjoint: v_in is (Nt, Nd); output (Nt, Nm); SBGEMV op = C.
-        ``out`` (float64, (Nt, ny)) receives the result in place;
-        ``detach=False`` may return an arena buffer (internal callers
-        only — it is overwritten by this engine's next apply).
-        """
-        ws = self.workspace
-        if ws is None:
-            return self._pipeline_inner(v_in, config, adjoint, out, detach)
-        # Apply boundary: cursors reset, and a second apply interleaving
-        # on this arena raises instead of aliasing checkout slots.
-        ws.begin_apply()
-        try:
-            return self._pipeline_inner(v_in, config, adjoint, out, detach)
-        finally:
-            ws.end_apply()
-
-    def _pipeline_inner(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-        detach: bool,
-    ) -> np.ndarray:
-        """:meth:`_pipeline` body, inside the workspace apply scope."""
-        operation = Operation.C if adjoint else Operation.N
-        ws = self.workspace
-
-        # Phase 1: broadcast (trivial single-device) + zero-pad, in the
-        # phase's precision (cast fused into the pad kernel's writes).
-        with self._phase_ctx("pad"):
-            x = pad_to_soti(
-                v_in,
-                config.pad,
-                device=self.device,
-                phase="pad",
-                workspace=ws,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-
-        # Phase 2: batched forward FFT in its precision.  The input cast
-        # (if needed) fuses with the pad's writes in the real code; here
-        # it is an explicit no-op when the precisions agree.
-        with self._phase_ctx("fft"):
-            x = self._maybe_cast(x, config.fft, "cast_fft")
-            plan = self._plan("fwd", config.fft, batch=x.shape[0])
-            xhat = plan.execute(x, phase="fft", workspace=ws)
-            self._maybe_corrupt(xhat, "fft")
-            self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
-
-        # Reorder to frequency-outer layout at the lower adjacent
-        # precision, then present to the SBGEMV at its precision.
-        reorder_prec = config.reorder_precision("fft", "sbgemv")
-        with self._phase_ctx("sbgemv"):
-            vhat = soti_to_tosi(
-                xhat,
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="fwd_reorder",
-                backend=self.backend,
-            )
-            vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
-            if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: SBGEMV input precision mismatch")
-            yhat = self._run_sbgemv(vhat, operation, config.sbgemv)
-            self._maybe_corrupt(yhat, "sbgemm")
-            if self._abft_on:
-                self._check_gemm(
-                    vhat[:, :, None], yhat[:, :, None], operation, config.sbgemv
-                )
-            self._guard_check(yhat, "sbgemv")
-            reorder_prec = config.reorder_precision("sbgemv", "ifft")
-            yhat = tosi_to_soti(
-                yhat,
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="bwd_reorder",
-                backend=self.backend,
-            )
-
-        # Phase 4: batched inverse FFT.
-        with self._phase_ctx("ifft"):
-            yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
-            plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
-            y = plan.inverse(yhat, phase="ifft", workspace=ws)
-            self._maybe_corrupt(y, "ifft")
-            self._check_inverse_energy(yhat, y, plan)
-            self._guard_check(y, "ifft")
-
-        # Phase 5: unpad (+ reduction across the grid in the parallel
-        # engine) in its precision, then return to double.  With an
-        # arena and a double-precision unpad the kernel writes straight
-        # into the caller's buffer.
-        with self._phase_ctx("unpad"):
-            dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
-            res = unpad_from_soti(
-                y,
-                self.nt,
-                config.unpad,
-                device=self.device,
-                phase="unpad",
-                workspace=None if dest is not None else ws,
-                out=dest,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-        return self._finalize(res, out, detach=detach)
-
-    def _pipeline_block(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray] = None,
-        detach: bool = True,
-        deterministic: bool = False,
-    ) -> np.ndarray:
-        """Blocked pipeline: all ``k`` RHS in one pass per phase.
-
-        Forward: v_in is (Nt, Nm, k); output (Nt, Nd, k); GEMM op = N.
-        Adjoint: v_in is (Nt, Nd, k); output (Nt, Nm, k); GEMM op = C.
-        ``out`` (float64, (Nt, ny, k)) receives the result in place;
-        ``detach=False`` may return an arena buffer (internal callers
-        only — it is overwritten by this engine's next apply).
-        ``deterministic`` swaps the Phase-3 GEMM for the per-column
-        batched GEMV (:meth:`_run_sbgemv_panel`), making every column
-        bitwise what the vector pipeline returns for it.
-
-        The k columns ride along as an extra inner dimension of the
-        "space" axis: pad/FFT/reorder treat ``nx * k`` fused columns (the
-        batched kernels are agnostic), and only Phase 3 unflattens them
-        into per-frequency (nx, k) panels for the strided-batched GEMM.
-        """
-        ws = self.workspace
-        if ws is None:
-            return self._pipeline_block_inner(
-                v_in, config, adjoint, out, detach, deterministic
-            )
-        ws.begin_apply()
-        try:
-            return self._pipeline_block_inner(
-                v_in, config, adjoint, out, detach, deterministic
-            )
-        finally:
-            ws.end_apply()
-
-    def _pipeline_block_inner(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-        detach: bool,
+        panel: Any,
+        operation: Operation,
+        precision: Precision,
         deterministic: bool,
-    ) -> np.ndarray:
-        """:meth:`_pipeline_block` body, inside the workspace apply scope."""
+        segments: Optional[Tuple[int, int]],
+    ) -> Any:
+        """Phase 3 on the ``(n_freq, nx, k)`` panel, chosen in one place.
+
+        - grid rank in pairwise mode (``segments=(start, n_global)``):
+          canonical-segment partials, merged across ranks before the
+          back half runs;
+        - ``reduction="pairwise"``: the fixed-tree GEMM — every column
+          already accumulates like its vector apply, so
+          ``deterministic`` is redundant and ignored;
+        - ``deterministic``: the per-column GEMV panel; at ``k == 1``
+          (the vector apply) that is one strided-batched GEMV;
+        - otherwise: the blocked GEMM.
+        """
+        if segments is not None:
+            return self._run_sbgemm_pairwise_segments(
+                panel, operation, precision, *segments
+            )
+        if self.reduction == "pairwise" or not deterministic:
+            return self._run_sbgemm(panel, operation, precision)
+        if panel.shape[2] == 1:
+            return self._run_sbgemv(panel[:, :, 0], operation, precision)[:, :, None]
+        return self._run_sbgemv_panel(panel, operation, precision)
+
+    def _front(
+        self,
+        v_in: np.ndarray,
+        config: PrecisionConfig,
+        adjoint: bool,
+        deterministic: bool = False,
+        segments: Optional[Tuple[int, int]] = None,
+    ) -> Any:
+        """Front half: pad, FFT, SOTI→TOSI reorder, cast, Phase 3.
+
+        ``v_in`` is ``(Nt, nx, k)``.  The k columns ride along as an
+        extra inner dimension of the "space" axis: pad/FFT/reorder treat
+        ``nx * k`` fused columns (the batched kernels are agnostic), and
+        only Phase 3 unflattens them into per-frequency ``(nx, k)``
+        panels.  Returns the ``(n_freq, ny, k)`` Phase-3 result, or a
+        segment table when ``segments`` is given (see :meth:`_phase3`).
+        """
         operation = Operation.C if adjoint else Operation.N
         nt, nx, k = v_in.shape
-        ny = self.nm if adjoint else self.nd
         ws = self.workspace
 
-        # Phase 1: one pad kernel over all k vectors (batch = k * space).
+        # Phase 1: one pad kernel over all k vectors, in the phase's
+        # precision (cast fused into the pad kernel's writes).
         with self._phase_ctx("pad"):
             x = pad_to_soti(
                 v_in.reshape(nt, nx * k),
@@ -989,20 +850,26 @@ class FFTMatvec:
                 rank=self.rank_label,
             )
 
-        # Phase 2: one batched forward FFT, batch = k * space.
+        # Phase 2: one batched forward FFT, batch = k * space.  The input
+        # cast is an explicit no-op when the precisions agree.
         with self._phase_ctx("fft"):
             x = self._maybe_cast(x, config.fft, "cast_fft")
             plan = self._plan("fwd", config.fft, batch=x.shape[0])
             xhat = plan.execute(x, phase="fft", workspace=ws)
-            self._maybe_corrupt(xhat, "fft")
-            self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
+            self._boundary(
+                "fft",
+                xhat,
+                lambda: plan.verify_forward_energy(
+                    x, xhat, phase="fft", rank=self.rank_label
+                ),
+            )
 
-        reorder_prec = config.reorder_precision("fft", "sbgemv")
+        # Reorder to frequency-outer layout at the lower adjacent
+        # precision, then present to Phase 3 at its precision.
         with self._phase_ctx("sbgemv"):
             vhat = soti_to_tosi(
                 xhat,
-                precision=reorder_prec,
+                precision=config.reorder_precision("fft", "sbgemv"),
                 device=self.device,
                 phase="sbgemv",
                 workspace=ws,
@@ -1011,22 +878,34 @@ class FFTMatvec:
             )
             vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
             if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: SBGEMM input precision mismatch")
-            # Phase 3: per-frequency (nx, k) panels through one GEMM —
-            # or k batched GEMVs when the caller needs every column
-            # bitwise-equal to its sequential apply.
+                raise ReproError("internal: Phase-3 input precision mismatch")
             panel = vhat.reshape(self.n_freq, nx, k)
-            if deterministic:
-                yhat = self._run_sbgemv_panel(panel, operation, config.sbgemv)
-            else:
-                yhat = self._run_sbgemm(panel, operation, config.sbgemv)
-            self._maybe_corrupt(yhat, "sbgemm")
-            self._check_gemm(panel, yhat, operation, config.sbgemv)
-            self._guard_check(yhat, "sbgemv")
-            reorder_prec = config.reorder_precision("sbgemv", "ifft")
+            yhat = self._phase3(
+                panel, operation, config.sbgemv, deterministic, segments
+            )
+            self._boundary(
+                "sbgemv",
+                yhat,
+                lambda: self._verify_gemm(panel, yhat, operation, config.sbgemv),
+            )
+        return yhat
+
+    def _back(
+        self,
+        yhat: Any,
+        config: PrecisionConfig,
+        adjoint: bool,
+        out: Optional[np.ndarray],
+        detach: bool,
+    ) -> np.ndarray:
+        """Back half: TOSI→SOTI reorder, IFFT, unpad, finalize on a
+        ``(n_freq, ny, k)`` frequency panel."""
+        nf, ny, k = yhat.shape
+        ws = self.workspace
+        with self._phase_ctx("sbgemv"):
             yhat = tosi_to_soti(
-                yhat.reshape(self.n_freq, ny * k),
-                precision=reorder_prec,
+                yhat.reshape(nf, ny * k),
+                precision=config.reorder_precision("sbgemv", "ifft"),
                 device=self.device,
                 phase="sbgemv",
                 workspace=ws,
@@ -1039,171 +918,18 @@ class FFTMatvec:
             yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
             plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
             y = plan.inverse(yhat, phase="ifft", workspace=ws)
-            self._maybe_corrupt(y, "ifft")
-            self._check_inverse_energy(yhat, y, plan)
-            self._guard_check(y, "ifft")
-
-        # Phase 5: one unpad kernel over all k vectors.
-        with self._phase_ctx("unpad"):
-            dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
-            res = unpad_from_soti(
+            self._boundary(
+                "ifft",
                 y,
-                self.nt,
-                config.unpad,
-                device=self.device,
-                phase="unpad",
-                workspace=None if dest is not None else ws,
-                out=dest,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
+                lambda: plan.verify_inverse_energy(
+                    yhat, y, phase="ifft", rank=self.rank_label
+                ),
             )
-        return self._finalize(res.reshape(nt, ny, k), out, detach=detach)
 
-    # -- grid pairwise split: front (phases 1-3) / finish (phases 4-5) ---------
-    # The IFFT does not distribute over addition bitwise, so a
-    # partition-invariant grid apply must reduce in *frequency domain*
-    # (where the contraction lives) and run phases 4-5 exactly once per
-    # output part.  Phases 1-2 are per-column batch-independent and the
-    # spectrum slices are bitwise slices of the global spectrum
-    # (per-(d,m) lag FFTs in _setup_spectrum), which is what makes a
-    # rank's front bitwise-equal to the corresponding slice of a
-    # single-device front.
-
-    def _pipeline_block_pairwise_segments(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        start: int,
-        n_global: int,
-    ) -> Dict[Tuple[int, int], Any]:
-        """Front half for one grid rank: pad, FFT, reorder, cast, then
-        Phase-3 canonical-segment partials over the rank's global
-        contraction range ``[start, start + nx)``.  Segment values are
-        fresh arrays (not arena buffers), safe to hold across this
-        engine's next apply.
-        """
-        ws = self.workspace
-        if ws is None:
-            return self._pairwise_segments_inner(
-                v_in, config, adjoint, start, n_global
-            )
-        ws.begin_apply()
-        try:
-            return self._pairwise_segments_inner(
-                v_in, config, adjoint, start, n_global
-            )
-        finally:
-            ws.end_apply()
-
-    def _pairwise_segments_inner(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        start: int,
-        n_global: int,
-    ) -> Dict[Tuple[int, int], Any]:
-        operation = Operation.C if adjoint else Operation.N
-        nt, nx, k = v_in.shape
-        ws = self.workspace
-
-        with self._phase_ctx("pad"):
-            x = pad_to_soti(
-                v_in.reshape(nt, nx * k),
-                config.pad,
-                device=self.device,
-                phase="pad",
-                workspace=ws,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-        with self._phase_ctx("fft"):
-            x = self._maybe_cast(x, config.fft, "cast_fft")
-            plan = self._plan("fwd", config.fft, batch=x.shape[0])
-            xhat = plan.execute(x, phase="fft", workspace=ws)
-            self._maybe_corrupt(xhat, "fft")
-            self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
-        reorder_prec = config.reorder_precision("fft", "sbgemv")
-        with self._phase_ctx("sbgemv"):
-            vhat = soti_to_tosi(
-                xhat,
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="fwd_reorder",
-                backend=self.backend,
-            )
-            vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
-            if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: SBGEMM input precision mismatch")
-            panel = vhat.reshape(self.n_freq, nx, k)
-            values = self._run_sbgemm_pairwise_segments(
-                panel, operation, config.sbgemv, start, n_global
-            )
-            self._maybe_corrupt_table(values, "sbgemm")
-            self._check_gemm_segments(panel, values, operation, config.sbgemv)
-            return values
-
-    def _pipeline_block_finish(
-        self,
-        yhat: Any,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray] = None,
-        detach: bool = True,
-    ) -> np.ndarray:
-        """Back half: reorder/cast the merged ``(n_freq, ny, k)``
-        frequency panel, inverse FFT, unpad, finalize.  Runs once per
-        output part on its root rank's engine (``ny`` must match this
-        engine's output extent)."""
-        ws = self.workspace
-        if ws is None:
-            return self._pipeline_finish_inner(yhat, config, adjoint, out, detach)
-        ws.begin_apply()
-        try:
-            return self._pipeline_finish_inner(yhat, config, adjoint, out, detach)
-        finally:
-            ws.end_apply()
-
-    def _pipeline_finish_inner(
-        self,
-        yhat: Any,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-        detach: bool,
-    ) -> np.ndarray:
-        ny = self.nm if adjoint else self.nd
-        nf, ny_got, k = yhat.shape
-        if (nf, ny_got) != (self.n_freq, ny):
-            raise ReproError(
-                f"finish panel must be ({self.n_freq}, {ny}, k), "
-                f"got {tuple(yhat.shape)}"
-            )
-        ws = self.workspace
-        with self._phase_ctx("sbgemv"):
-            reorder_prec = config.reorder_precision("sbgemv", "ifft")
-            yhat = tosi_to_soti(
-                yhat.reshape(self.n_freq, ny * k),
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="bwd_reorder",
-                backend=self.backend,
-            )
-        with self._phase_ctx("ifft"):
-            yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
-            plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
-            y = plan.inverse(yhat, phase="ifft", workspace=ws)
-            self._maybe_corrupt(y, "ifft")
-            self._check_inverse_energy(yhat, y, plan)
-            self._guard_check(y, "ifft")
+        # Phase 5: one unpad kernel over all k vectors (+ reduction
+        # across the grid in the parallel engine) in its precision, then
+        # return to double.  With a double-precision unpad the kernel
+        # writes straight into the caller's buffer.
         with self._phase_ctx("unpad"):
             dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
             res = unpad_from_soti(
@@ -1219,6 +945,75 @@ class FFTMatvec:
                 rank=self.rank_label,
             )
         return self._finalize(res.reshape(self.nt, ny, k), out, detach=detach)
+
+    def _pipeline_block(
+        self,
+        v_in: np.ndarray,
+        config: PrecisionConfig,
+        adjoint: bool,
+        out: Optional[np.ndarray] = None,
+        detach: bool = True,
+        deterministic: bool = False,
+    ) -> np.ndarray:
+        """The five-phase pipeline on a block: front half + back half.
+
+        Forward: v_in is (Nt, Nm, k); output (Nt, Nd, k); Phase-3 op = N.
+        Adjoint: v_in is (Nt, Nd, k); output (Nt, Nm, k); Phase-3 op = C.
+        ``out`` (float64, (Nt, ny, k)) receives the result in place;
+        ``detach=False`` may return an arena buffer (internal callers
+        only — it is overwritten by this engine's next apply).
+        ``deterministic`` selects the per-column GEMV Phase 3 (see
+        :meth:`_phase3`).
+        """
+        with _apply_scope(self.workspace):
+            yhat = self._front(v_in, config, adjoint, deterministic=deterministic)
+            return self._back(yhat, config, adjoint, out, detach)
+
+    # -- grid pairwise split: front (phases 1-3) / back (phases 4-5) -----------
+    # The IFFT does not distribute over addition bitwise, so a
+    # partition-invariant grid apply must reduce in *frequency domain*
+    # (where the contraction lives) and run the back half exactly once
+    # per output part.  Phases 1-2 are per-column batch-independent and
+    # the spectrum slices are bitwise slices of the global spectrum
+    # (per-(d,m) lag FFTs in _setup_spectrum), which is what makes a
+    # rank's front bitwise-equal to the corresponding slice of a
+    # single-device front.
+
+    def _pipeline_block_pairwise_segments(
+        self,
+        v_in: np.ndarray,
+        config: PrecisionConfig,
+        adjoint: bool,
+        start: int,
+        n_global: int,
+    ) -> Dict[Tuple[int, int], Any]:
+        """Front half for one grid rank, with Phase-3 canonical-segment
+        partials over the rank's global contraction range
+        ``[start, start + nx)``.  Segment values are fresh arrays (not
+        arena buffers), safe to hold across this engine's next apply.
+        """
+        with _apply_scope(self.workspace):
+            return self._front(v_in, config, adjoint, segments=(start, n_global))
+
+    def _pipeline_block_finish(
+        self,
+        yhat: Any,
+        config: PrecisionConfig,
+        adjoint: bool,
+        out: Optional[np.ndarray] = None,
+        detach: bool = True,
+    ) -> np.ndarray:
+        """Back half on the merged ``(n_freq, ny, k)`` frequency panel.
+        Runs once per output part on its root rank's engine (``ny`` must
+        match this engine's output extent)."""
+        ny = self.nm if adjoint else self.nd
+        if tuple(yhat.shape[:2]) != (self.n_freq, ny):
+            raise ReproError(
+                f"finish panel must be ({self.n_freq}, {ny}, k), "
+                f"got {tuple(yhat.shape)}"
+            )
+        with _apply_scope(self.workspace):
+            return self._back(yhat, config, adjoint, out, detach)
 
     # -- public API ----------------------------------------------------------
     def _check_out(self, out: Optional[np.ndarray], shape: Tuple[int, ...]):
@@ -1238,19 +1033,13 @@ class FFTMatvec:
         receives the result in a caller-owned buffer — combined with a
         workspace arena, repeated applies are allocation-free.
 
-        In pairwise mode the vector rides the width-1 blocked pipeline:
-        the fixed tree makes a lone column accumulate bitwise like the
-        same column inside any block, so ``matvec(m)`` ==
-        ``matmat(M)[:, :, j]`` exactly whenever ``M[:, :, j] == m``.
+        The vector apply is the width-1 block
+        ``matmat(m[:, :, None], deterministic=True)``, so ``matvec(m)``
+        is bitwise ``matmat(M, deterministic=True)[:, :, j]`` whenever
+        ``M[:, :, j] == m`` — and in pairwise mode, which ignores
+        ``deterministic``, bitwise column ``j`` of any ``matmat(M)``.
         """
-        cfg = PrecisionConfig.parse(config)
-        mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-        out = self._check_out(out, (self.nt, self.nd))
-        if self.reduction == "pairwise":
-            return self._apply_vector_pairwise(mm, cfg, adjoint=False, out=out)
-        return self._timed(
-            lambda: self._pipeline(mm, cfg, adjoint=False, out=out), str(cfg)
-        )
+        return self._apply_vector(m, config, out, adjoint=False)
 
     def rmatvec(
         self,
@@ -1258,32 +1047,33 @@ class FFTMatvec:
         config: Union[str, PrecisionConfig] = "ddddd",
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Compute ``m = F* d`` (adjoint/conjugate-transpose matvec)."""
-        cfg = PrecisionConfig.parse(config)
-        dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-        out = self._check_out(out, (self.nt, self.nm))
-        if self.reduction == "pairwise":
-            return self._apply_vector_pairwise(dd, cfg, adjoint=True, out=out)
-        return self._timed(
-            lambda: self._pipeline(dd, cfg, adjoint=True, out=out), str(cfg)
-        )
+        """Compute ``m = F* d`` (adjoint/conjugate-transpose matvec), the
+        width-1 block ``rmatmat(d[:, :, None], deterministic=True)``."""
+        return self._apply_vector(d, config, out, adjoint=True)
 
-    def _apply_vector_pairwise(
+    def _apply_vector(
         self,
-        v_in: np.ndarray,
-        cfg: PrecisionConfig,
-        adjoint: bool,
+        v: np.ndarray,
+        config: Union[str, PrecisionConfig],
         out: Optional[np.ndarray],
+        adjoint: bool,
     ) -> np.ndarray:
-        """Vector apply via the width-1 blocked pipeline (pairwise mode)."""
-        res3 = self._timed(
-            lambda: self._pipeline_block(v_in[:, :, None], cfg, adjoint=adjoint),
-            f"{cfg}[pairwise]",
+        """Vector apply as the width-1 deterministic block."""
+        cfg = PrecisionConfig.parse(config)
+        check = self.matrix.check_output if adjoint else self.matrix.check_input
+        vv = check(v).astype(np.float64, copy=False)
+        out = self._check_out(out, (self.nt, self.nm if adjoint else self.nd))
+        res = self._timed(
+            lambda: self._pipeline_block(
+                vv[:, :, None],
+                cfg,
+                adjoint,
+                out=None if out is None else out[:, :, None],
+                deterministic=True,
+            ),
+            str(cfg),
         )
-        if out is not None:
-            out[...] = res3[:, :, 0]
-            return out
-        return res3[:, :, 0]
+        return res[:, :, 0] if out is None else out
 
     # -- blocked multi-RHS API -------------------------------------------------
     def _check_block(self, V: np.ndarray, nx: int, what: str) -> np.ndarray:
@@ -1312,23 +1102,13 @@ class FFTMatvec:
         runs one GEMV per column instead of the blocked GEMM, so column
         ``j`` is **bitwise** ``matvec(M[:, :, j])`` — phases 1/2/4/5 are
         batched either way (elementwise kernels and a row-independent
-        batched FFT preserve per-column bits).  The serving coalescer
-        uses this to batch concurrent tenants without perturbing anyone's
-        answer.
+        batched FFT preserve per-column bits), and the vector apply is
+        itself this path at ``k == 1``.  The serving coalescer uses this
+        to batch concurrent tenants without perturbing anyone's answer.
+        A ``reduction="pairwise"`` engine ignores ``deterministic``: its
+        fixed-tree GEMM already gives every column its vector-apply bits.
         """
-        cfg = PrecisionConfig.parse(config)
-        mm = self._check_block(M, self.nm, "parameter")
-        k = mm.shape[2]
-        out = self._check_out(out, (self.nt, self.nd, k))
-        res = self._timed(
-            lambda: self._pipeline_block(
-                mm, cfg, adjoint=False, out=out, deterministic=deterministic
-            ),
-            f"{cfg}[k={k}{', det' if deterministic else ''}]",
-        )
-        self.matvec_count += k - 1  # _timed already counted one
-        self.matmat_count += 1
-        return res
+        return self._apply_block(M, config, out, deterministic, adjoint=False)
 
     def rmatmat(
         self,
@@ -1344,17 +1124,28 @@ class FFTMatvec:
         ``deterministic=True`` makes column ``j`` bitwise
         ``rmatvec(D[:, :, j])``, as in :meth:`matmat`.
         """
+        return self._apply_block(D, config, out, deterministic, adjoint=True)
+
+    def _apply_block(
+        self,
+        V: np.ndarray,
+        config: Union[str, PrecisionConfig],
+        out: Optional[np.ndarray],
+        deterministic: bool,
+        adjoint: bool,
+    ) -> np.ndarray:
         cfg = PrecisionConfig.parse(config)
-        dd = self._check_block(D, self.nd, "data")
-        k = dd.shape[2]
-        out = self._check_out(out, (self.nt, self.nm, k))
+        nx, ny = (self.nd, self.nm) if adjoint else (self.nm, self.nd)
+        vv = self._check_block(V, nx, "data" if adjoint else "parameter")
+        k = vv.shape[2]
+        out = self._check_out(out, (self.nt, ny, k))
         res = self._timed(
             lambda: self._pipeline_block(
-                dd, cfg, adjoint=True, out=out, deterministic=deterministic
+                vv, cfg, adjoint, out=out, deterministic=deterministic
             ),
             f"{cfg}[k={k}{', det' if deterministic else ''}]",
         )
-        self.matvec_count += k - 1
+        self.matvec_count += k - 1  # _timed already counted one
         self.matmat_count += 1
         return res
 

@@ -90,16 +90,15 @@ in Phase 1's precision — the volume term of the tree cost scales by
 Phase-5 tree-reduce sums ``(Nt, nd_r, k_c)`` partial blocks elementwise,
 so the ``eps5 * log2(pc)`` accumulation term of Eq. 6 applies per column
 exactly as in the vector path.  Per-rank compute routes through
-``FFTMatvec``'s blocked pipeline; a chunk of one column degenerates
-*bitwise* to the vector path, wider chunks match it to rounding (GEMM
-vs GEMV column-accumulation order) — or *bitwise* for every column with
-``deterministic=True``, which swaps each rank's Phase-3 GEMM for
-per-column batched GEMVs (the serving coalescer's mode).
+``FFTMatvec``'s blocked pipeline.  The vector apply *is* a one-column
+chunk with ``deterministic=True``; wider chunks match it to rounding
+(GEMM vs GEMV column-accumulation order) — or *bitwise* for every
+column with ``deterministic=True``, which swaps each rank's Phase-3
+GEMM for per-column batched GEMVs (the serving coalescer's mode).
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -108,7 +107,7 @@ from repro.backend import Backend, resolve_backend
 from repro.comm.grid import ProcessGrid
 from repro.comm.partition import check_extents
 from repro.comm.simcomm import SimCommunicator
-from repro.core.matvec import FFTMatvec
+from repro.core.matvec import FFTMatvec, _apply_scope
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
@@ -139,24 +138,6 @@ RankSpecs = Union[
     Mapping[Tuple[int, int], Union[GPUSpec, str]],
     Sequence[Sequence[Union[GPUSpec, str]]],
 ]
-
-
-@contextlib.contextmanager
-def _apply_scope(ws: Optional[Workspace]):
-    """Bracket a grid-level apply in the arena's re-entrancy guard.
-
-    No-op without a workspace; otherwise cursors reset and a second
-    apply interleaving on the grid arena raises :class:`ReproError`
-    instead of aliasing staging buffers.
-    """
-    if ws is None:
-        yield
-        return
-    ws.begin_apply()
-    try:
-        yield
-    finally:
-        ws.end_apply()
 
 
 def _normalize_rank_specs(
@@ -654,120 +635,43 @@ class ParallelFFTMatvec:
                 with clock.phase(p):
                     clock.advance(t)
 
-    # -- forward ---------------------------------------------------------------
+    # -- vector API: the width-1 block -----------------------------------------
     def matvec(
         self, m: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
         """Compute ``d = F m`` across the grid; returns the global (Nt, Nd).
 
-        A single matvec cannot overlap (phases 2–4 depend on the Phase-1
-        broadcast), so the serial schedule applies; compute is charged as
-        the max over ranks.  In pairwise mode the vector rides the
-        width-1 blocked path — the same fixed contraction tree a wide
-        panel's columns see, which is what makes blocked == looped
-        bitwise.
+        The vector apply is the width-1 block
+        ``matmat(m[:, :, None], deterministic=True, overlap=False)``: a
+        single vector cannot overlap (phases 2–4 depend on the Phase-1
+        broadcast), so the serial schedule applies, and its bits are
+        column ``j`` of any deterministic block — of any block in
+        pairwise mode, which ignores ``deterministic``.
         """
-        if self.reduction == "pairwise":
-            mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-            return self._matmat_impl(
-                mm[:, :, None], config, None, adjoint=False, overlap=False
-            )[:, :, 0]
-        cfg = PrecisionConfig.parse(config)
         mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-        before = self._snapshot()
-        with _apply_scope(self.workspace):
-            # Phase 1 communication: broadcast each column's parameter
-            # block down its pr ranks, in Phase 1's precision (comm
-            # volume follows).
-            col_blocks: Dict[int, np.ndarray] = {}
-            for c in range(self.grid.pc):
-                c0, c1 = self._col_ranges[c]
-                payload = self._stage_payload(mm[:, c0:c1], cfg.pad, f"pay/c{c}")
-                copies = self._timed_col(c).bcast(
-                    payload, root=0, phase="pad", workspace=self.workspace,
-                    tag=f"recv/c{c}", backend=self.backend,
-                )
-                col_blocks[c] = self._as_input64(copies[0], f"in64/c{c}")
+        return self._apply_vector(mm, config, adjoint=False)
 
-            # Local five-phase pipelines on every rank; wall = max over
-            # ranks.
-            partials, compute = self._rank_compute(
-                lambda r, c, engine: engine._pipeline(
-                    col_blocks[c], cfg, adjoint=False, detach=False
-                )
-            )
-            self._charge_compute(compute)
-
-            # Phase 5 communication: tree-reduce each row's partial data
-            # block over its pc ranks in Phase 5's precision.  The gather
-            # target is fully overwritten, one row range at a time.
-            out = np.empty((self.nt, self.nd))
-            for r in range(self.grid.pr):
-                r0, r1 = self._row_ranges[r]
-                contribs = [
-                    self.backend.cast(partials[(r, c)], cfg.unpad)
-                    for c in range(self.grid.pc)
-                ]
-                reduced = self._timed_row(r).reduce(
-                    contribs, root=0, precision=cfg.unpad, phase="unpad",
-                    backend=self.backend,
-                )
-                out[:, r0:r1] = self.backend.from_device(reduced)
-
-        self._record(before, f"{cfg} F ({self.grid.pr}x{self.grid.pc})")
-        self.matvec_count += 1
-        return out
-
-    # -- adjoint ------------------------------------------------------------------
     def rmatvec(
         self, d: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
-        """Compute ``m = F* d`` across the grid; returns the global (Nt, Nm)."""
-        if self.reduction == "pairwise":
-            dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-            return self._matmat_impl(
-                dd[:, :, None], config, None, adjoint=True, overlap=False
-            )[:, :, 0]
-        cfg = PrecisionConfig.parse(config)
+        """Compute ``m = F* d`` across the grid; returns the global (Nt, Nm).
+        The width-1 block of :meth:`rmatmat`, as in :meth:`matvec`."""
         dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-        before = self._snapshot()
-        with _apply_scope(self.workspace):
-            # Phase 1: broadcast each row's data block across pc ranks.
-            row_blocks: Dict[int, np.ndarray] = {}
-            for r in range(self.grid.pr):
-                r0, r1 = self._row_ranges[r]
-                payload = self._stage_payload(dd[:, r0:r1], cfg.pad, f"pay/r{r}")
-                copies = self._timed_row(r).bcast(
-                    payload, root=0, phase="pad", workspace=self.workspace,
-                    tag=f"recv/r{r}", backend=self.backend,
-                )
-                row_blocks[r] = self._as_input64(copies[0], f"in64/r{r}")
+        return self._apply_vector(dd, config, adjoint=True)
 
-            partials, compute = self._rank_compute(
-                lambda r, c, engine: engine._pipeline(
-                    row_blocks[r], cfg, adjoint=True, detach=False
-                )
-            )
-            self._charge_compute(compute)
-
-            # Phase 5: reduce each column's partial parameter block over
-            # pr ranks.
-            out = np.empty((self.nt, self.nm))
-            for c in range(self.grid.pc):
-                c0, c1 = self._col_ranges[c]
-                contribs = [
-                    self.backend.cast(partials[(r, c)], cfg.unpad)
-                    for r in range(self.grid.pr)
-                ]
-                reduced = self._timed_col(c).reduce(
-                    contribs, root=0, precision=cfg.unpad, phase="unpad",
-                    backend=self.backend,
-                )
-                out[:, c0:c1] = self.backend.from_device(reduced)
-
-        self._record(before, f"{cfg} F* ({self.grid.pr}x{self.grid.pc})")
-        self.matvec_count += 1
-        return out
+    def _apply_vector(
+        self, v: np.ndarray, config: Union[str, PrecisionConfig], adjoint: bool
+    ) -> np.ndarray:
+        """The width-1 deterministic block on the serial schedule.  One
+        logical action, not a blocked pass: ``matmat_count`` stays put,
+        as on the single-device engine."""
+        passes = self.matmat_count
+        out = self._matmat_impl(
+            v[:, :, None], config, None, adjoint=adjoint, overlap=False,
+            deterministic=True,
+        )
+        self.matmat_count = passes
+        return out[:, :, 0]
 
     # -- blocked multi-RHS path across the grid ------------------------------
     def _check_block(self, V: np.ndarray, nx: int, what: str) -> np.ndarray:
@@ -1191,8 +1095,8 @@ class ParallelFFTMatvec:
         every rank's Phase 3 as per-column GEMVs so column ``j`` is
         **bitwise** ``matvec(M[:, :, j])`` (see
         :meth:`FFTMatvec.matmat`); the elementwise tree-reduce already
-        preserves per-column bits, so the guarantee survives the grid.
-        With ``reduction="pairwise"`` that per-column guarantee holds
+        preserves per-column bits, so the guarantee survives the grid,
+        and :meth:`matvec` is this path at ``k = 1``.  With ``reduction="pairwise"`` that per-column guarantee holds
         unconditionally *and* the result is bitwise-invariant to the
         grid partition and chunking (``deterministic`` is then
         redundant and ignored).  A constructor-fused ``host`` model

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.comm.grid import ProcessGrid
 from repro.core.matvec import FFTMatvec
+from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.specs import MI300X
@@ -155,3 +157,48 @@ class TestRelativeErrorCache:
         m = rng.standard_normal((8, 6))
         assert eng.relative_error("ddddd", m) == 0.0
         assert eng.relative_error("ddddd", m) == 0.0  # cached ref path too
+
+
+def _column_engine(kind):
+    rng = np.random.default_rng(11)
+    matrix = BlockTriangularToeplitz.random(16, 6, 20, rng=rng, decay=0.05)
+    if kind == "grid":
+        return ParallelFFTMatvec(matrix, ProcessGrid(2, 2), spec=MI300X)
+    device = SimulatedDevice(MI300X) if kind.startswith("device") else None
+    return FFTMatvec(matrix, device=device, workspace=kind.endswith("arena"))
+
+
+class TestDeterministicColumnGuarantee:
+    """``matmat(M, deterministic=True)[:, :, j]`` is bitwise
+    ``matvec(M[:, :, j])``, and a vector apply charges what the width-1
+    block charges."""
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["F", "Fstar"])
+    @pytest.mark.parametrize("config", ["ddddd", "dssdd"])
+    @pytest.mark.parametrize(
+        "kind", ["host", "host-arena", "device", "device-arena", "grid"]
+    )
+    def test_columns_bitwise_and_phases(self, kind, config, adjoint):
+        vector_name = "rmatvec" if adjoint else "matvec"
+        block_name = "rmatmat" if adjoint else "matmat"
+        eng = _column_engine(kind)
+        nx = eng.nd if adjoint else eng.nm
+        block = np.random.default_rng(12).standard_normal((eng.nt, nx, 4))
+        got = getattr(eng, block_name)(block, config=config, deterministic=True)
+        for j in range(block.shape[2]):
+            solo = getattr(eng, vector_name)(block[:, :, j], config)
+            assert np.array_equal(got[:, :, j], solo)
+        if eng.device is None:
+            return
+        # Phase deltas are differences of running clock totals, so both
+        # sides start from fresh engines with the same history.
+        vec_eng, blk_eng = _column_engine(kind), _column_engine(kind)
+        getattr(vec_eng, vector_name)(block[:, :, 0], config)
+        getattr(blk_eng, block_name)(
+            block[:, :, :1], config=config, deterministic=True
+        )
+        phases = vec_eng.last_timing.phases
+        if kind == "grid":
+            assert phases == pytest.approx(blk_eng.last_timing.phases, rel=1e-12)
+        else:
+            assert phases == blk_eng.last_timing.phases

@@ -117,3 +117,21 @@ def test_pairwise_close_to_fast(problem):
     fast = FFTMatvec(mat).matmat(M, config="dssdd")
     pw = FFTMatvec(mat, reduction="pairwise").matmat(M, config="dssdd")
     assert np.linalg.norm(fast - pw) / np.linalg.norm(fast) < 1e-5
+
+
+def test_single_engine_deterministic_stays_on_the_fixed_tree():
+    # Pairwise ignores ``deterministic``: the fixed tree already makes
+    # every column bitwise its looped apply and the grid's result.
+    rng = np.random.default_rng(3)
+    mat = BlockTriangularToeplitz.random(32, 8, 96, rng=rng)
+    M = rng.standard_normal((32, 96, 5))
+    D = rng.standard_normal((32, 8, 5))
+    eng = FFTMatvec(mat, reduction="pairwise")
+    fwd = eng.matmat(M, deterministic=True)
+    adj = eng.rmatmat(D, deterministic=True)
+    for j in range(5):
+        assert np.array_equal(fwd[:, :, j], eng.matvec(M[:, :, j]))
+        assert np.array_equal(adj[:, :, j], eng.rmatvec(D[:, :, j]))
+    par = ParallelFFTMatvec(mat, ProcessGrid(2, 2), reduction="pairwise")
+    assert np.array_equal(fwd, par.matmat(M, deterministic=True))
+    assert np.array_equal(adj, par.rmatmat(D, deterministic=True))

@@ -130,3 +130,32 @@ class TestDeterminismCoalescing:
                     assert np.array_equal(got, solo)
 
         asyncio.run(main())
+
+    def test_pairwise_engine_coalesced_flush_equals_solo(self):
+        async def main():
+            # A pairwise engine serves every flush on its fixed tree, so
+            # a coalesced deterministic flush returns the solo bits.
+            rng = np.random.default_rng(9)
+            mat = BlockTriangularToeplitz.random(32, 8, 96, rng=rng)
+
+            def builder():
+                return FFTMatvec(mat, workspace=True, reduction="pairwise")
+
+            payloads = [rng.standard_normal((32, 96)) for _ in range(4)]
+            service = SolverService(
+                EngineCache(64 * 2**20), window=10.0, max_block_k=4
+            )
+            handle = service.register(mat, builder=builder)
+            async with service:
+                batched = await asyncio.gather(
+                    *[service.matvec(handle, p) for p in payloads]
+                )
+            assert service.stats().flushes == 1
+            solo_service = SolverService(EngineCache(64 * 2**20), window=0.0)
+            solo_handle = solo_service.register(mat, builder=builder)
+            async with solo_service:
+                for p, got in zip(payloads, batched):
+                    solo = await solo_service.matvec(solo_handle, p)
+                    assert np.array_equal(got, solo)
+
+        asyncio.run(main())
